@@ -91,10 +91,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem .
 
 # The three benchmarks the engine hot-path work is judged against
-# (BENCH_4.json holds the committed before/after record). CI runs this
-# target and compares against the baseline with benchstat.
+# (BENCH_4.json holds the committed before/after record), plus the
+# engine micro-benchmarks: a proc Sleep round trip and spawn-and-exit
+# churn. CI runs this target and compares against the baseline with
+# benchstat.
 bench-hot:
 	$(GO) test -bench 'Fig0(1a|2a|4a)' -benchmem .
+	$(GO) test -run '^$$' -bench 'Handoff|SpawnExit' -benchmem ./internal/sim
 
 # The disk result-cache benchmarks (BENCH_9.json holds the committed
 # record): cold simulate-and-publish vs warm verified-hit per cell, and

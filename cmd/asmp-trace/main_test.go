@@ -29,6 +29,10 @@ func TestErrorPaths(t *testing.T) {
 		{"malformed fault plan", []string{"-fault", "offline@1s"}, "fault"},
 		{"fault plan core out of range", []string{"-config", "4f-0s", "-fault", "offline@1s:9"}, "out of range"},
 		{"bad timeout", []string{"-timeout", "soon"}, "-timeout"},
+		{"NaN throttle time", []string{"-fault", "throttle@NaNs:0:0.5"}, "non-finite"},
+		{"infinite stall", []string{"-fault", "stall@1s:+Infs"}, "non-finite"},
+		{"NaN offline time", []string{"-fault", "offline@NaNs:0"}, "non-finite"},
+		{"NaN stall time", []string{"-fault", "stall@NaNs:10ms"}, "non-finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -142,12 +142,11 @@ func TestNoGoroutineCorpus(t *testing.T) {
 	checkCorpus(t, "nogoroutine", "asmp/internal/sched/lintcorpus")
 }
 
-func TestNoGoroutineExemptsSim(t *testing.T) {
-	// internal/sim owns the simulator's execution primitives: the same
-	// file there is clean of nogoroutine findings. The corpus's pragma
-	// (needed under sched) suppresses nothing here, so stale-pragma
-	// detection fires on it — itself worth pinning.
-	checkHarnessExemption(t, "asmp/internal/sim/lintcorpus3", "sim")
+func TestNoGoroutineFiresInSim(t *testing.T) {
+	// internal/sim runs proc bodies as iter.Pull coroutines and has no
+	// go statement of its own, so it is not a harness package: the
+	// corpus fires there exactly as under sched.
+	checkCorpus(t, "nogoroutine", "asmp/internal/sim/lintcorpus3")
 }
 
 func TestNoGoroutineExemptsServer(t *testing.T) {

@@ -146,7 +146,7 @@ func TestFixDriftClean(t *testing.T) {
 func TestStalePragmaRemovalEdits(t *testing.T) {
 	loader := newLoader(t)
 	dir := filepath.Join("testdata", "src", "nogoroutine")
-	pkg, err := loader.LoadDirAs(dir, "asmp/internal/sim/lintcorpus9")
+	pkg, err := loader.LoadDirAs(dir, "asmp/internal/server/lintcorpus9")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,19 @@ package analysis
 import "go/ast"
 
 // NoGoroutine forbids raw goroutines and sync primitives inside the
-// deterministic core, outside the harness packages (harnessPackages):
-// internal/sim, which owns the simulator's own execution primitives,
-// and internal/server, whose goroutines carry requests over the
+// deterministic core, outside the harness packages (harnessPackages)
+// such as internal/server, whose goroutines carry requests over the
 // deterministic core but never simulation state. The simulator is
 // single-threaded by construction: every interleaving decision is made
-// by the event loop so that a (config, seed) pair replays identically.
+// by the event loop so that a (config, seed) pair replays identically;
+// even internal/sim runs its procs as coroutines, not goroutines.
 // A goroutine or mutex in sched, workload or digest code reintroduces
 // host-scheduler nondeterminism that no seed controls. Harness-level
 // parallelism *across* independent cells (core.Experiment) is
 // intentional and annotated //asmp:allow goroutine.
 var NoGoroutine = &Analyzer{
 	Name:      "nogoroutine",
-	Doc:       "forbid go statements and sync primitives in deterministic packages (outside the harness packages sim and server)",
+	Doc:       "forbid go statements and sync primitives in deterministic packages (outside the harness packages server, shard and resultcache)",
 	Tier:      TierSyntactic,
 	Invariant: "the deterministic core is single-threaded: no go statements or sync primitives outside the harness packages",
 	Why:       "host-scheduler interleaving is not replayable from a seed; every interleaving decision must come from the event loop",

@@ -28,9 +28,6 @@ var deterministicPrefixes = []string{
 // of demanding a pragma on every line. Membership is the principled
 // claim; each entry records why it holds.
 var harnessPackages = map[string]string{
-	// The event loop owns the simulator's execution primitives; every
-	// interleaving it chooses is replayed from the seed.
-	"asmp/internal/sim": "owns the simulator's execution primitives",
 	// The daemon serves concurrent requests over the same deterministic
 	// core; goroutines carry requests, never simulation state, and every
 	// response body is a pure function of the request identity.

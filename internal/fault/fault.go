@@ -145,7 +145,7 @@ func (p *Plan) Validate(numCores int) error {
 	}
 	for i, e := range p.Events {
 		prefix := fmt.Sprintf("fault: event %d (%s)", i, e)
-		if e.At < 0 || e.At == simtime.Never {
+		if !finite(e.At) || e.At < 0 || e.At == simtime.Never {
 			return fmt.Errorf("%s: invalid time", prefix)
 		}
 		switch e.Kind {
@@ -159,8 +159,8 @@ func (p *Plan) Validate(numCores int) error {
 				return fmt.Errorf("%s: core %d out of range [0, %d)", prefix, e.Core, numCores)
 			}
 		case Stall:
-			if e.Dur <= 0 {
-				return fmt.Errorf("%s: non-positive stall duration", prefix)
+			if !finite(e.Dur) || e.Dur <= 0 {
+				return fmt.Errorf("%s: non-positive or non-finite stall duration", prefix)
 			}
 		default:
 			return fmt.Errorf("%s: unknown kind", prefix)
@@ -339,8 +339,18 @@ func parseDuration(text string) (simtime.Time, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad number in %q", text)
 	}
+	// ParseFloat accepts "NaN" and "Inf"; a NaN time would compare false
+	// against every bound downstream, so refuse both here.
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite duration %q", text)
+	}
 	if v < 0 {
 		return 0, fmt.Errorf("negative duration %q", text)
 	}
 	return simtime.Time(v) * unit, nil
+}
+
+// finite reports whether t is neither NaN nor infinite.
+func finite(t simtime.Time) bool {
+	return !math.IsNaN(float64(t)) && !math.IsInf(float64(t), 0)
 }

@@ -56,6 +56,50 @@ func TestValidateRejectsNonFiniteDuty(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonFiniteTimes is the parse-layer regression for
+// non-finite fault times and durations. strconv.ParseFloat accepts NaN
+// and Inf, and NaN compares false on both sides of a plain v < 0 or
+// Dur <= 0 check, so each of these plans could otherwise parse and
+// validate, then hang or poison the run.
+func TestParseRejectsNonFiniteTimes(t *testing.T) {
+	for _, text := range []string{
+		"throttle@NaNs:0:0.5",
+		"stall@1s:+Infs",
+		"offline@NaNs:0",
+		"stall@NaNs:10ms",
+		"stall@1s:NaNms",
+		"restore@-Infs:0",
+		"wave@NaNs:500ms:0:0.5:3",
+		"walk@1s:Infms:0:7:3",
+	} {
+		if p, err := Parse(text); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", text, p)
+		} else if !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Parse(%q) = %v, want a non-finite duration error", text, err)
+		}
+	}
+}
+
+// TestValidateRejectsNonFiniteTimes is the validate-layer regression:
+// events built directly (bypassing Parse) with a NaN or infinite time
+// or stall duration must be refused by Plan.Validate.
+func TestValidateRejectsNonFiniteTimes(t *testing.T) {
+	nan, inf := simtime.Time(math.NaN()), simtime.Time(math.Inf(1))
+	for _, e := range []Event{
+		ThrottleAt(nan, 0, 0.5),
+		OfflineAt(nan, 0),
+		RestoreAt(inf, 0),
+		StallAt(nan, 10*simtime.Millisecond),
+		StallAt(simtime.Second, nan),
+		StallAt(simtime.Second, inf),
+	} {
+		p := &Plan{Events: []Event{e}}
+		if err := p.Validate(4); err == nil {
+			t.Errorf("Validate(%v) succeeded, want an error", e)
+		}
+	}
+}
+
 func TestWaveExpansion(t *testing.T) {
 	p, err := Parse("wave@1s:500ms:2:0.25:3")
 	if err != nil {

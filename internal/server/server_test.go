@@ -151,6 +151,7 @@ func TestBadRequests(t *testing.T) {
 		{"sweep negative runs", "POST", "/v1/sweep", `{"workload":"specjbb","runs":-1}`, 400, "bad_request", "runs"},
 		{"sweep bad retries", "POST", "/v1/sweep", `{"workload":"specjbb","retries":-1}`, 400, "bad_request", "retries"},
 		{"sweep bad fault", "POST", "/v1/sweep", `{"workload":"specjbb","fault":"explode@1s:0"}`, 400, "bad_request", "unknown kind"},
+		{"sweep NaN fault time", "POST", "/v1/sweep", `{"workload":"specjbb","fault":"offline@NaNs:0"}`, 400, "bad_request", "non-finite"},
 		{"sweep fault misfit", "POST", "/v1/sweep", `{"workload":"specjbb","configs":["4f-0s"],"fault":"offline@1s:7"}`, 400, "bad_request", "does not fit"},
 		{"sweep bad timeout", "POST", "/v1/sweep", `{"workload":"specjbb","timeout":"eleven"}`, 400, "bad_request", "timeout"},
 		{"unknown figure", "GET", "/v1/figure/99z", "", 404, "not_found", "unknown figure"},

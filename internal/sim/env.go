@@ -1,8 +1,8 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine. Simulated threads ("procs") are written as ordinary
-// Go functions; they run on real goroutines but the engine enforces a
-// strict one-at-a-time handoff between the kernel loop and the active
-// proc, so a simulation is a pure function of its inputs and seed.
+// Go functions; each runs as an iter.Pull coroutine that the kernel loop
+// resumes and the proc suspends, so exactly one context runs at a time
+// and a simulation is a pure function of its inputs and seed.
 //
 // The engine itself knows nothing about CPUs. Compute requests are
 // delegated to an Executor — the OS-scheduler model in internal/sched —
@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 	"strings"
@@ -89,24 +90,12 @@ type Env struct {
 	// never recycled, so proc identity is unaffected.
 	procSlab []Proc
 	randSlab []xrand.Rand
-
-	// workerq feeds spawned procs to pooled worker goroutines, and
-	// idleWorkers counts workers parked on workerq. A worker that
-	// finishes one proc's body loops back for the next spawn, so
-	// churn-heavy workloads pay goroutine creation (and the go
-	// statement's closure) only at peak concurrency, not per proc. Only
-	// the kernel context touches idleWorkers.
-	workerq     chan *Proc
-	idleWorkers int
 }
 
 // NewEnv returns an environment whose randomness derives entirely from
 // seed.
 func NewEnv(seed uint64) *Env {
-	return &Env{
-		rand:    xrand.New(seed),
-		workerq: make(chan *Proc),
-	}
+	return &Env{rand: xrand.New(seed)}
 }
 
 // SetExecutor installs the CPU model. It must be called before any proc
@@ -208,13 +197,11 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.randSlab = e.randSlab[1:]
 	e.rand.SplitInto(rng)
 	*p = Proc{
-		env:      e,
-		id:       e.nextPID,
-		name:     name,
-		fn:       fn,
-		rand:     rng,
-		toProc:   make(chan struct{}),
-		toKernel: make(chan struct{}),
+		env:  e,
+		id:   e.nextPID,
+		name: name,
+		fn:   fn,
+		rand: rng,
 	}
 	p.liveIdx = len(e.live)
 	e.live = append(e.live, p)
@@ -222,7 +209,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start launches p's goroutine and gives it its first slice of control.
+// start creates p's coroutine and gives it its first slice of control.
 func (e *Env) start(p *Proc) {
 	if p.done || p.killed {
 		// Killed before it ever ran: just retire it.
@@ -230,44 +217,24 @@ func (e *Env) start(p *Proc) {
 		e.finish(p)
 		return
 	}
-	// Hand the proc to a pooled worker goroutine, growing the pool only
-	// when every worker is busy. The send is unbuffered: an idle worker
-	// is either parked on workerq or on its way back to it after
-	// reporting its previous proc done, so the handoff cannot deadlock.
-	if e.idleWorkers > 0 {
-		e.idleWorkers--
-	} else {
-		go e.procWorker()
-	}
-	e.workerq <- p
-	p.launched = true
+	// The body recovers every panic itself, so the coroutine always
+	// runs to completion and stop is never needed.
+	p.next, _ = iter.Pull(p.body)
 	p.waiting = true
 	e.resume(p)
 }
 
-// procWorker runs proc bodies from the spawn queue until the Env closes.
-// Proc panics (including the kill signal) are recovered inside
-// Proc.main, so one worker survives any number of procs.
-func (e *Env) procWorker() {
-	for p := range e.workerq {
-		p.main()
-	}
-}
-
 // resume transfers control to p until its next yield. Kernel context only.
 func (e *Env) resume(p *Proc) {
-	if p.done || !p.launched || !p.waiting {
+	if p.done || p.next == nil || !p.waiting {
 		return
 	}
 	prev := e.running
 	e.running = p
 	p.waiting = false
-	p.toProc <- struct{}{}
-	<-p.toKernel
+	p.next()
 	e.running = prev
 	if p.done {
-		// The worker goroutine that ran p is looping back to workerq.
-		e.idleWorkers++
 		e.finish(p)
 	}
 	if e.panicVal != nil {
@@ -289,6 +256,9 @@ func (e *Env) finish(p *Proc) {
 	e.live[last] = nil
 	e.live = e.live[:last]
 	p.liveIdx = -1
+	// The coroutine has returned; drop it so the proc's slab slot does
+	// not pin it for the env's lifetime.
+	p.next, p.yieldFn = nil, nil
 	if e.exec != nil {
 		e.exec.ProcExit(p)
 	}
@@ -381,8 +351,9 @@ func (e *Env) RunUntil(deadline simtime.Time) int {
 	return n
 }
 
-// Close kills all remaining procs and drains the queue so no goroutines
-// leak. The environment must not be used afterwards.
+// Close kills all remaining procs and drains the queue so every proc's
+// coroutine runs to completion and none leaks. The environment must not
+// be used afterwards.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -393,7 +364,6 @@ func (e *Env) Close() {
 		e.queue.Run()
 	}
 	e.closed = true
-	close(e.workerq) // releases the idle worker goroutines
 	if len(e.live) > 0 {
 		panic(fmt.Sprintf("sim: %d procs failed to terminate on Close: %s",
 			len(e.live), strings.Join(e.liveNames(), ", ")))

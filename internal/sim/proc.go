@@ -17,13 +17,14 @@ type Proc struct {
 	fn   func(*Proc)
 	rand *xrand.Rand
 
-	toProc   chan struct{}
-	toKernel chan struct{}
-	liveIdx  int  // position in the env's live table; -1 once retired
-	launched bool // goroutine exists and first handoff is pending or done
-	waiting  bool // parked in yield, waiting for resume
-	killed   bool
-	done     bool
+	// next resumes the proc's coroutine (nil until the first handoff);
+	// yieldFn suspends it back to whichever kernel call resumed it.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
+	liveIdx int  // position in the env's live table; -1 once retired
+	waiting bool // parked in yield, waiting for resume
+	killed  bool
+	done    bool
 
 	sleepEv   simtime.Ref
 	affinity  CPUSet
@@ -34,12 +35,12 @@ type Proc struct {
 	SchedState any
 }
 
-// main is one proc's turn on a pooled worker goroutine: wait for the
-// first handoff, run the proc function, and report completion to the
-// kernel even when the function panics (the recover below is what lets
-// the worker survive and serve the next proc).
-func (p *Proc) main() {
-	<-p.toProc
+// body is the proc's coroutine (an iter.Seq driven by iter.Pull): it
+// runs the proc function and marks the proc done even when the function
+// panics. The kill signal is a normal exit; any other panic is handed to
+// the kernel, which re-raises it after the coroutine returns.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yieldFn = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSignal); !ok {
@@ -49,7 +50,6 @@ func (p *Proc) main() {
 			}
 		}
 		p.done = true
-		p.toKernel <- struct{}{}
 	}()
 	if !p.killed {
 		p.fn(p)
@@ -98,13 +98,11 @@ func (p *Proc) Killed() bool { return p.killed }
 func (p *Proc) OnExit(fn func()) { p.exitHooks = append(p.exitHooks, fn) }
 
 // yield parks the proc until the kernel resumes it. Must be called from
-// the proc's own goroutine. Panics with killSignal if the proc was killed
-// while parked.
+// the proc's own coroutine. Panics with killSignal if the proc was killed
+// while parked, or if its coroutine is being stopped.
 func (p *Proc) yield() {
 	p.waiting = true
-	p.toKernel <- struct{}{}
-	<-p.toProc
-	if p.killed {
+	if !p.yieldFn(struct{}{}) || p.killed {
 		panic(killSignal{})
 	}
 }

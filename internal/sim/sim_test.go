@@ -694,7 +694,7 @@ func TestProcPanicsPropagate(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("workload panic did not propagate to Run")
-		} else if !strings.Contains(fmt.Sprint(r), "boom") {
+		} else if !strings.Contains(fmt.Sprint(r), `sim: proc "bad" panicked: boom`) {
 			t.Fatalf("unexpected panic %v", r)
 		}
 		e.Close()

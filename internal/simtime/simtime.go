@@ -148,10 +148,25 @@ func (q *Queue) Now() Time { return q.now }
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) + q.ringLive }
 
+// TimeError is the panic value for scheduling an event at a time that
+// is not at or after the queue's current time: one in the past, or NaN.
+// Either is a simulation bug; a NaN time admitted to the heap would
+// compare false against everything and wedge the run.
+type TimeError struct {
+	At  Time // the requested fire time
+	Now Time // the queue's current time
+}
+
+// Error implements error.
+func (e *TimeError) Error() string {
+	return fmt.Sprintf("simtime: scheduling event at %v before now %v", e.At, e.Now)
+}
+
 // alloc prepares an Event (recycled when possible) for time at.
 func (q *Queue) alloc(at Time) *Event {
-	if at < q.now {
-		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", at, q.now))
+	// Negated so a NaN time fails too, at no extra compare.
+	if !(at >= q.now) {
+		panic(&TimeError{At: at, Now: q.now})
 	}
 	q.seq++
 	var e *Event
@@ -201,8 +216,9 @@ func (q *Queue) release(e *Event) {
 	}
 }
 
-// Schedule enqueues fn to run at time at. It panics if at precedes the
-// current time, since causality violations indicate a simulation bug.
+// Schedule enqueues fn to run at time at. It panics with a *TimeError if
+// at precedes the current time or is NaN, since either indicates a
+// simulation bug.
 func (q *Queue) Schedule(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("simtime: nil event function")

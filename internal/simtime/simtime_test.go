@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,37 @@ func TestQueueSchedulePastPanics(t *testing.T) {
 		q.Schedule(5, func() {})
 	})
 	q.Run()
+}
+
+// TestQueueNaNTimePanics pins the NaN backstop: a NaN fire time panics
+// with a typed *TimeError at scheduling instead of entering the heap.
+func TestQueueNaNTimePanics(t *testing.T) {
+	nan := Time(math.NaN())
+	for _, c := range []struct {
+		name     string
+		schedule func(q *Queue)
+	}{
+		{"ScheduleCall", func(q *Queue) { q.ScheduleCall(nan, &countHandler{}, 0, nil) }},
+		{"AfterCall", func(q *Queue) { q.AfterCall(nan, &countHandler{}, 0, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var q Queue
+			q.AdvanceTo(2)
+			defer func() {
+				te, ok := recover().(*TimeError)
+				if !ok {
+					t.Fatalf("%s(NaN) did not panic with *TimeError", c.name)
+				}
+				if !math.IsNaN(float64(te.At)) || te.Now != 2 {
+					t.Fatalf("TimeError = {At: %v, Now: %v}, want {NaN, 2}", te.At, te.Now)
+				}
+				if q.Len() != 0 {
+					t.Fatalf("NaN event entered the queue: Len = %d", q.Len())
+				}
+			}()
+			c.schedule(&q)
+		})
+	}
 }
 
 func TestQueueNilFuncPanics(t *testing.T) {
