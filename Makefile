@@ -92,12 +92,17 @@ bench:
 
 # The three benchmarks the engine hot-path work is judged against
 # (BENCH_4.json holds the committed before/after record), plus the
-# engine micro-benchmarks: a proc Sleep round trip and spawn-and-exit
-# churn. CI runs this target and compares against the baseline with
-# benchstat.
+# per-layer engine micro-benchmarks: a proc Sleep round trip,
+# spawn-and-exit churn, one digest Event fold, one log-normal draw (the
+# per-call wrapper and a prebuilt distribution) and one scheduler event
+# under the naive and aware policies. CI runs this target and compares
+# against the baseline with benchstat.
 bench-hot:
 	$(GO) test -bench 'Fig0(1a|2a|4a)' -benchmem .
 	$(GO) test -run '^$$' -bench 'Handoff|SpawnExit' -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench 'HasherEvent' -benchmem ./internal/digest
+	$(GO) test -run '^$$' -bench 'LogNormal' -benchmem ./internal/xrand
+	$(GO) test -run '^$$' -bench 'SchedEvent' -benchmem ./internal/sched
 
 # The disk result-cache benchmarks (BENCH_9.json holds the committed
 # record): cold simulate-and-publish vs warm verified-hit per cell, and

@@ -2,8 +2,17 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"asmp/internal/cpu"
+	"asmp/internal/fault"
+	"asmp/internal/sched"
+	"asmp/internal/sim"
+	"asmp/internal/simtime"
+	"asmp/internal/trace"
+	"asmp/internal/workload"
 )
 
 // runCmd invokes the CLI entry point with captured streams.
@@ -101,5 +110,92 @@ func TestTracePrintsDigest(t *testing.T) {
 	}
 	if !strings.Contains(out, "run digest: ") || strings.Contains(out, "run digest: 0000000000000000") {
 		t.Errorf("digest missing or zero:\n%s", out)
+	}
+}
+
+// TestFastIdleSlowBusyPinned freezes the fast-idle-while-slow-queued
+// seconds that asmp-trace reports. No run digest covers this statistic,
+// so a change to the scheduler's invariant bookkeeping could move it
+// silently; these bit patterns were captured from the original pairwise
+// invariant loop at seed 1 on 2f-2s/8.
+func TestFastIdleSlowBusyPinned(t *testing.T) {
+	const wave = "wave@1s:500ms:0:0.125:4"
+	cases := []struct {
+		workload, policy, plan string
+		bits                   uint64
+	}{
+		{"specjbb", "naive", "", 0},
+		{"specjbb", "naive", wave, 0},
+		{"apache", "naive", "", 0x3fe33bd850004d52},
+		{"apache", "naive", wave, 0x3feb505ee664906c},
+		{"zeus", "little", wave, 0x3feabe6ababda1c6},
+		{"multiprog", "naive", wave, 0x3fcab69695172460},
+		{"omp-ammp", "naive", wave, 0x3fdaa91b358a64d0},
+		{"omp-equake", "naive", "", 0x3ff2f8af8af8bef5},
+		{"specjappserver", "naive", wave, 0x3fb9e511c35b33c0},
+		{"tpch", "rank", "", 0x3ff123ce2ae7adb6},
+	}
+	for _, tc := range cases {
+		w, err := workload.New(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := sched.ParsePolicy(tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plan *fault.Plan
+		if tc.plan != "" {
+			if plan, err = fault.Parse(tc.plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, st, err := tracedRun(w, cpu.MustParseConfig("2f-2s/8"), pol, 1, plan, sim.Limits{}, trace.New(16), nil)
+		if err != nil {
+			t.Fatalf("%s %s %q: %v", tc.workload, tc.policy, tc.plan, err)
+		}
+		if got := math.Float64bits(st.FastIdleSlowBusy); got != tc.bits {
+			t.Errorf("%s %s %q: FastIdleSlowBusy = %v (%#x), want %v (%#x)",
+				tc.workload, tc.policy, tc.plan, st.FastIdleSlowBusy, got, math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+}
+
+// TestNearZeroDutyTerminates pins the decision to accept tiny but
+// finite duties: throttling a core to the smallest positive float64
+// leaves it effectively stopped, and the run still ends under the
+// watchdog with every event at a finite time and the other cores'
+// throughput reported.
+func TestNearZeroDutyTerminates(t *testing.T) {
+	const plan = "throttle@1s:0:5e-324"
+	code, out, errOut := runCmd("-fault", plan, "-timeout", "30s")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "throughput (txn/s) = 3059") {
+		t.Errorf("output does not report 3059 txn/s:\n%s", out)
+	}
+
+	w, err := workload.New("specjbb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fault.Parse(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := trace.New(1 << 18)
+	_, _, err = tracedRun(w, cpu.MustParseConfig("2f-2s/8"), sched.PolicyNaive, 1, p,
+		sim.Limits{MaxVirtualTime: 30 * simtime.Second}, buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Total() != buf.Len() {
+		t.Fatalf("buffer evicted %d events; raise its capacity", buf.Total()-buf.Len())
+	}
+	for _, e := range buf.Events() {
+		if at := float64(e.At); math.IsNaN(at) || math.IsInf(at, 0) {
+			t.Fatalf("event at a non-finite time: %v", e)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"asmp/internal/workload"
 	"asmp/internal/workload/gc"
 	"asmp/internal/workload/jbb"
+	"asmp/internal/xrand"
 )
 
 // runWithThermalEvent executes SPECjbb on an initially symmetric 4-core
@@ -43,10 +44,11 @@ func runWithThermalEvent(policy asmp.Policy, seed uint64) []float64 {
 	heap := gc.NewHeap(pl, gc.DefaultConfig(gc.ConcurrentGenerational))
 	const windows = 8
 	counts := make([]float64, windows)
+	txnCost := xrand.NewLogNormal(o.TxnCycles, o.TxnCV)
 	for w := 0; w < o.Warehouses; w++ {
 		pl.Env.Go(fmt.Sprintf("warehouse-%d", w), func(p *sim.Proc) {
 			for {
-				p.Compute(p.Rand().LogNormal(o.TxnCycles, o.TxnCV))
+				p.Compute(txnCost.Draw(p.Rand()))
 				heap.Alloc(p, o.AllocPerTxn)
 				if idx := int(p.Now() / simtime.Second); idx >= 0 && idx < windows {
 					counts[idx]++

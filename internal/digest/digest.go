@@ -69,12 +69,52 @@ func NewFrom(d Digest) *Hasher { return &Hasher{h: uint64(d)} }
 // Byte folds one byte.
 func (h *Hasher) Byte(b byte) { h.h = (h.h ^ uint64(b)) * prime64 }
 
+// Powers of prime64 mod 2^64: folding a zero byte is (x ^ 0) * prime64,
+// a plain multiply, and multiplication mod 2^64 is associative, so a run
+// of k zero bytes folds as one multiply by prime64^k.
+const (
+	prime64x7 = prime64 * prime64 * prime64 * prime64 * prime64 * prime64 * prime64 % (1 << 64)
+	prime64x8 = prime64 * prime64x7 % (1 << 64)
+)
+
+// foldOnes[b] is what folding eight 0xff bytes adds beyond x*prime64^8
+// to an accumulator x whose low byte is b. Xoring 0xff into x adds
+// 0xff-2b, which depends only on the low byte, and the low byte of the
+// next accumulator again depends only on the low byte of this one; so
+// the whole eight-step fold is x*prime64^8 + foldOnes[x&0xff].
+var foldOnes = func() (t [256]uint64) {
+	for b := range t {
+		x := uint64(b)
+		for i := 0; i < 8; i++ {
+			x = (x ^ 0xff) * prime64
+		}
+		t[b] = x - uint64(b)*prime64x8
+	}
+	return t
+}()
+
 // fold64 folds the eight little-endian bytes of v into x and returns the
 // evolved accumulator. Keeping the accumulator in a local (rather than
 // writing h.h once per byte) lets the whole chain live in registers; the
 // byte order and xor-multiply sequence are exactly Byte's, so the result
 // is bit-identical to eight Byte calls.
+//
+// Three shapes of v are common enough to shortcut, each exactly equal
+// to the byte-serial fold. Kinds, core IDs, small proc IDs and string
+// lengths fit in one byte: its fold is followed by seven zero bytes, so
+// the whole value is one multiply by prime64^8. Values below 2^16 take
+// two multiplies. A From of -1 is eight 0xff bytes, which foldOnes
+// turns into one multiply and one table lookup.
 func fold64(x, v uint64) uint64 {
+	switch {
+	case v < 1<<8:
+		return (x ^ v) * prime64x8
+	case v < 1<<16:
+		x = (x ^ (v & 0xff)) * prime64
+		return (x ^ (v >> 8)) * prime64x7
+	case v == ^uint64(0):
+		return x*prime64x8 + foldOnes[x&0xff]
+	}
 	x = (x ^ (v & 0xff)) * prime64
 	x = (x ^ (v >> 8 & 0xff)) * prime64
 	x = (x ^ (v >> 16 & 0xff)) * prime64
@@ -136,10 +176,15 @@ func (h *Hasher) Identity(workload, config, policy string, seed uint64) {
 	h.Uint64(seed)
 }
 
-// Event folds one scheduler event. The whole fold runs on a local
-// accumulator — events are the hot path (one call per scheduler event in
-// every run), and a single load/store pair per event beats one per byte.
-func (h *Hasher) Event(e trace.Event) {
+// Event folds one scheduler event.
+func (h *Hasher) Event(e trace.Event) { h.Record(e) }
+
+// Record implements trace.Tracer by folding the event; it is Event's
+// body, so the scheduler's per-event interface call lands on the fold
+// directly. The whole fold runs on a local accumulator — events are the
+// hot path (one call per scheduler event in every run), and a single
+// load/store pair per event beats one per byte.
+func (h *Hasher) Record(e trace.Event) {
 	x := h.h
 	x = fold64(x, math.Float64bits(float64(e.At)))
 	x = fold64(x, uint64(int64(e.Kind)))
@@ -149,9 +194,6 @@ func (h *Hasher) Event(e trace.Event) {
 	x = foldString(x, e.ProcName)
 	h.h = x
 }
-
-// Record implements trace.Tracer by folding the event.
-func (h *Hasher) Record(e trace.Event) { h.Event(e) }
 
 // Result folds the final workload metrics: the primary metric and every
 // secondary metric in sorted-key order.

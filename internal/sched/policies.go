@@ -113,6 +113,17 @@ func (p Policy) forcedMigration() bool {
 	return false
 }
 
+// balancesByLoadAvg reports whether the policy's periodic pass is
+// balanceNaive, the only reader of coreState.loadAvg: the naive policy,
+// and any value outside the zoo, which balanceTick also sends there.
+func (p Policy) balancesByLoadAvg() bool {
+	switch p {
+	case PolicyAsymmetryAware, PolicyRankAware, PolicyCriticalityAware, PolicyTypeAware, PolicyBigLittle:
+		return false
+	}
+	return true
+}
+
 // classifies reports whether the policy consumes per-burst
 // classification state (observeBurst).
 func (p Policy) classifies() bool {

@@ -251,7 +251,9 @@ type coreState struct {
 	// loadAvgTau), mirroring the decayed cpu_load a 2.6-era balancer
 	// consulted. Briefly-runnable tasks barely register here, which is
 	// why a lightly loaded server process is never balanced away from a
-	// slow core.
+	// slow core. Only balanceNaive reads it, so it is maintained only
+	// under the naive policy (Policy.balancesByLoadAvg) and stays zero
+	// under every other.
 	loadAvg float64
 
 	// Event for the running task: either its completion or its slice end.
@@ -957,10 +959,10 @@ func (s *Scheduler) coreEvent(c *coreState) {
 		c.running = nil
 		t.inflight = false
 		s.emit(trace.Complete, c.core.ID, -1, t)
-		s.observeInvariant()
 		// May synchronously resume the proc, which may issue its next
 		// burst and re-enter the scheduler; dispatch below tolerates
-		// that.
+		// that, and its observeInvariant sees the settled state at this
+		// same instant.
 		t.p.FinishCompute()
 		s.dispatch(c)
 		s.onIdle(c)
@@ -1318,36 +1320,50 @@ func (s *Scheduler) balanceRank() {
 // state is piecewise constant between the points where this is called,
 // so attributing the elapsed interval to the previously observed state is
 // exact.
+//
+// Most calls come in bursts at one instant; those fold no interval and
+// only re-evaluate the predicate.
 func (s *Scheduler) observeInvariant() {
-	now := s.env.Now()
-	dt := float64(now - s.lastInvariantCheck)
-	s.lastInvariantCheck = now
-	// NOTE: state has not changed since the last call, so folding the
-	// *current* runnable counts over dt is exact for the load averages
-	// too (they are computed from the same piecewise-constant signal).
-	s.updateLoadAvgs(dt)
-	if dt > 0 && s.invariantViolated {
-		s.stats.FastIdleSlowBusy += dt
-	}
-	// Offline cores are invisible to the invariant (they neither idle
-	// usefully nor hold schedulable work — only strands), and a stalled
-	// machine is not "fast idle, slow busy": nothing can run at all.
-	violated := false
-	if !s.stalled {
-	outer:
-		for _, c := range s.cores {
-			if c.offline || !c.idle() {
-				continue
-			}
-			for _, v := range s.cores {
-				if !v.offline && v.core.Duty < c.core.Duty && len(v.runq) > 0 {
-					violated = true
-					break outer
-				}
-			}
+	if now := s.env.Now(); now != s.lastInvariantCheck {
+		dt := float64(now - s.lastInvariantCheck)
+		s.lastInvariantCheck = now
+		// NOTE: state has not changed since the last call, so folding the
+		// *current* runnable counts over dt is exact for the load averages
+		// too (they are computed from the same piecewise-constant signal).
+		if s.opt.Policy.balancesByLoadAvg() {
+			s.updateLoadAvgs(dt)
+		}
+		if dt > 0 && s.invariantViolated {
+			s.stats.FastIdleSlowBusy += dt
 		}
 	}
-	s.invariantViolated = violated
+	s.invariantViolated = !s.stalled && s.fastIdleSlowQueued()
+}
+
+// fastIdleSlowQueued reports whether some online idle core is strictly
+// faster than an online core with queued (waiting, not running) work.
+// Offline cores are invisible to the invariant (they neither idle
+// usefully nor hold schedulable work — only strands); the caller also
+// exempts a stalled machine, where nothing can run at all.
+//
+// One pass over s.byDuty suffices: it is fastest-first, so the first
+// online idle core is the fastest idle one, and any qualifying pair
+// pairs that core with a strictly slower queued core later in the
+// order.
+func (s *Scheduler) fastIdleSlowQueued() bool {
+	var idle *coreState
+	for _, c := range s.byDuty {
+		switch {
+		case c.offline:
+		case idle == nil:
+			if c.idle() {
+				idle = c
+			}
+		case len(c.runq) > 0 && c.core.Duty < idle.core.Duty:
+			return true
+		}
+	}
+	return false
 }
 
 // removeTask deletes t from q preserving order.

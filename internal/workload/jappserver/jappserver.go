@@ -19,6 +19,7 @@ import (
 	"asmp/internal/simtime"
 	"asmp/internal/stats"
 	"asmp/internal/workload"
+	"asmp/internal/xrand"
 )
 
 // Options parameterises a SPECjAppServer run.
@@ -99,9 +100,10 @@ func (b *Benchmark) Identity() string {
 // Options returns the resolved options.
 func (b *Benchmark) Options() Options { return b.opt }
 
-// txn is one transaction flowing through the container.
+// txn is one transaction flowing through the container. cost is its
+// type's cost distribution, shared by every transaction of that type.
 type txn struct {
-	cycles   float64
+	cost     *xrand.LogNormalDist
 	injected simtime.Time
 	mfg      bool
 }
@@ -118,6 +120,8 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 
 	queue := sim.NewQueue[txn](env)
 	rng := env.Rand().Split()
+	newOrderCost := xrand.NewLogNormal(o.NewOrderCycles, o.CostCV)
+	mfgCost := xrand.NewLogNormal(o.ManufacturingCycles, o.CostCV)
 
 	var (
 		mfgDone, newDone int
@@ -136,7 +140,7 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 				if !ok {
 					return
 				}
-				p.Compute(p.Rand().LogNormal(t.cycles, o.CostCV))
+				p.Compute(t.cost.Draw(p.Rand()))
 				now := p.Now()
 				resp := now - t.injected
 				recentDone++
@@ -166,8 +170,8 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 		if now >= start && now < end {
 			injectedInWindow++
 		}
-		queue.Put(txn{cycles: o.NewOrderCycles, injected: now, mfg: false})
-		queue.Put(txn{cycles: o.ManufacturingCycles, injected: now, mfg: true})
+		queue.Put(txn{cost: &newOrderCost, injected: now, mfg: false})
+		queue.Put(txn{cost: &mfgCost, injected: now, mfg: true})
 		gap := simtime.Duration(1/rate) * simtime.Duration(rng.Range(0.9, 1.1))
 		env.After(gap, inject)
 	}

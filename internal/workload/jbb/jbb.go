@@ -18,6 +18,7 @@ import (
 	"asmp/internal/simtime"
 	"asmp/internal/workload"
 	"asmp/internal/workload/gc"
+	"asmp/internal/xrand"
 )
 
 // JVM selects the modelled virtual machine.
@@ -141,11 +142,12 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 
 	completed := 0
 	perWarehouse := make([]int, o.Warehouses)
+	txnCost := xrand.NewLogNormal(o.TxnCycles, o.TxnCV)
 	for w := 0; w < o.Warehouses; w++ {
 		w := w
 		pl.Env.Go(fmt.Sprintf("warehouse-%d", w), func(p *sim.Proc) {
 			for {
-				p.Compute(p.Rand().LogNormal(o.TxnCycles, o.TxnCV))
+				p.Compute(txnCost.Draw(p.Rand()))
 				heap.Alloc(p, o.AllocPerTxn)
 				if now := p.Now(); now >= start && now < end {
 					completed++

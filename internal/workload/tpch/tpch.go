@@ -223,6 +223,7 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 
 	var finished simtime.Time
 	perQuery := map[int]float64{}
+	fragNoise := xrand.NewLogNormal(1, o.CostCV)
 
 	env.Go("db2-coordinator", func(p *sim.Proc) {
 		// The coordinator is a DB2 server process too, bound by the
@@ -272,7 +273,7 @@ func (b *Benchmark) Run(pl *workload.Platform) workload.Result {
 			shares := b.fragmentShares(q)
 			frags := sim.NewQueue[float64](env)
 			for _, share := range shares {
-				frags.Put(parallel * share * p.Rand().LogNormal(1, o.CostCV))
+				frags.Put(parallel * share * fragNoise.Draw(p.Rand()))
 			}
 			frags.Close()
 			wg := sim.NewWaitGroup(env)

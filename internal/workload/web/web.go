@@ -25,6 +25,7 @@ import (
 	"asmp/internal/sim"
 	"asmp/internal/simtime"
 	"asmp/internal/workload"
+	"asmp/internal/xrand"
 )
 
 // Server selects the web-server model.
@@ -222,6 +223,7 @@ func (b *Benchmark) runApache(pl *workload.Platform) workload.Result {
 		}
 	}
 
+	reqCost := xrand.NewLogNormal(o.RequestCycles, o.RequestCV)
 	worker := func(slot int) func(*sim.Proc) {
 		return func(p *sim.Proc) {
 			q := queues[slot%nq]
@@ -231,7 +233,7 @@ func (b *Benchmark) runApache(pl *workload.Platform) workload.Result {
 				if !ok {
 					return
 				}
-				p.Compute(p.Rand().LogNormal(o.RequestCycles, o.RequestCV))
+				p.Compute(reqCost.Draw(p.Rand()))
 				if now := p.Now(); now >= start && now < end {
 					completed++
 				}
@@ -297,6 +299,7 @@ func (b *Benchmark) runZeus(pl *workload.Platform) workload.Result {
 	rng := env.Rand().Split()
 
 	completed := 0
+	reqCost := xrand.NewLogNormal(o.RequestCycles, o.RequestCV)
 	// Zeus binds each event loop to a processor itself. With as many
 	// processes as cores this is a permutation — which process ends up
 	// on which core is decided by the server at startup, out of the
@@ -315,7 +318,7 @@ func (b *Benchmark) runZeus(pl *workload.Platform) workload.Result {
 				if !ok {
 					return
 				}
-				p.Compute(p.Rand().LogNormal(o.RequestCycles, o.RequestCV))
+				p.Compute(reqCost.Draw(p.Rand()))
 				if now := p.Now(); now >= start && now < end {
 					completed++
 				}

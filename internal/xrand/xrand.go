@@ -138,17 +138,43 @@ func (r *Rand) Normal(mean, stdev float64) float64 {
 
 // LogNormal returns a log-normal variate parameterised by the mean and
 // coefficient of variation of the *resulting* distribution, which is the
-// natural way to say "around mean, with cv relative spread".
-func (r *Rand) LogNormal(mean, cv float64) float64 {
+// natural way to say "around mean, with cv relative spread". Hot loops
+// that draw repeatedly with the same parameters should build a
+// LogNormalDist once instead; the variates are bit-identical.
+func (r *Rand) LogNormal(mean, cv float64) float64 { return NewLogNormal(mean, cv).Draw(r) }
+
+// LogNormalDist is a log-normal distribution with its parameters
+// precomputed, so a draw costs one normal variate and one Exp.
+type LogNormalDist struct {
+	mean      float64
+	mu, sigma float64
+	fixed     bool // cv <= 0: every draw is mean and consumes no randomness
+}
+
+// NewLogNormal returns the log-normal distribution with the given mean
+// and coefficient of variation (see Rand.LogNormal). It panics if mean
+// <= 0. With cv <= 0 the distribution is the constant mean.
+func NewLogNormal(mean, cv float64) LogNormalDist {
 	if mean <= 0 {
 		panic("xrand: LogNormal with non-positive mean")
 	}
 	if cv <= 0 {
-		return mean
+		return LogNormalDist{mean: mean, fixed: true}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	return LogNormalDist{
+		mean:  mean,
+		mu:    math.Log(mean) - sigma2/2,
+		sigma: math.Sqrt(sigma2),
+	}
+}
+
+// Draw returns one variate from r.
+func (d LogNormalDist) Draw(r *Rand) float64 {
+	if d.fixed {
+		return d.mean
+	}
+	return math.Exp(d.mu + d.sigma*r.NormFloat64())
 }
 
 // Exp returns an exponential variate with the given mean.

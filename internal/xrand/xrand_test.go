@@ -170,6 +170,83 @@ func TestLogNormalZeroCV(t *testing.T) {
 	}
 }
 
+// inlineLogNormal is the per-draw formula LogNormalDist replaced, kept
+// as the reference the precomputed distribution must match bit for bit.
+func inlineLogNormal(r *Rand, mean, cv float64) float64 {
+	if cv <= 0 {
+		return mean
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	mu := math.Log(mean) - sigma2/2
+	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+}
+
+func TestLogNormalDistMatchesInlineFormula(t *testing.T) {
+	means := []float64{1e-9, 0.5, 1, 7, 100, 3.2e6, 1.7e9}
+	cvs := []float64{-1, 0, 1e-12, 0.01, 0.05, 0.3, 1, 4}
+	for _, mean := range means {
+		for _, cv := range cvs {
+			d := NewLogNormal(mean, cv)
+			got, want, wrap := New(77), New(77), New(77)
+			for i := 0; i < 200; i++ {
+				g, w, v := d.Draw(got), inlineLogNormal(want, mean, cv), wrap.LogNormal(mean, cv)
+				if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("mean %v cv %v draw %d: Draw %v, LogNormal %v, inline formula %v", mean, cv, i, g, v, w)
+				}
+			}
+			// The streams must sit at the same position afterwards, and a
+			// constant distribution (cv <= 0) must have consumed nothing.
+			a, b, fresh := got.Uint64(), want.Uint64(), New(77).Uint64()
+			if a != b {
+				t.Fatalf("mean %v cv %v: stream positions diverged", mean, cv)
+			}
+			if cv <= 0 && a != fresh {
+				t.Fatalf("mean %v cv %v: constant draws consumed randomness", mean, cv)
+			}
+		}
+	}
+}
+
+func TestNewLogNormalRejectsNonPositiveMean(t *testing.T) {
+	for _, mean := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLogNormal(%v, 0.3) did not panic", mean)
+				}
+			}()
+			NewLogNormal(mean, 0.3)
+		}()
+	}
+}
+
+// BenchmarkLogNormal measures one draw through the wrapper, which
+// rebuilds the distribution's parameters every call.
+func BenchmarkLogNormal(b *testing.B) {
+	r := New(1)
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		sink += r.LogNormal(1, 0.5)
+	}
+	if sink <= 0 {
+		b.Fatal("non-positive sum")
+	}
+}
+
+// BenchmarkLogNormalDist measures one draw from a prebuilt distribution,
+// the form the workloads' per-transaction loops use.
+func BenchmarkLogNormalDist(b *testing.B) {
+	r := New(1)
+	d := NewLogNormal(1, 0.5)
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		sink += d.Draw(r)
+	}
+	if sink <= 0 {
+		b.Fatal("non-positive sum")
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	r := New(11)
 	const n = 200000
